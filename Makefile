@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-color race-colored race-shard vet bench bench-json bench-spmm bench-smoke bench-diff ci tune-demo telemetry-smoke fuzz-smoke serve-smoke attrib-smoke
+.PHONY: all build test race race-color race-colored race-shard vet bce bench bench-json bench-spmm bench-smoke bench-diff ci tune-demo telemetry-smoke fuzz-smoke serve-smoke attrib-smoke
 
 all: build
 
@@ -38,6 +38,13 @@ race-shard:
 
 vet:
 	$(GO) vet ./...
+
+# bce fails if a bounds check on a matrix array (RowPtr/ColIdx/Val/...)
+# reappears inside the inner loop of a rewritten SpM×V body — the loops
+# marked `// bce:inner` in internal/core and internal/csr. Gathers and
+# scatters through x, y and the local vectors may keep their checks.
+bce:
+	GO=$(GO) ./scripts/bce_check.sh
 
 # Quick benchmark smoke: the execution-engine microbenchmarks (pool dispatch,
 # spin vs channel phases) plus the host SpM×V dispatch comparison.
@@ -118,13 +125,13 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # ci is the gate for every change: vet (fails the build on findings), build,
-# the colored-schedule and sharded-execution race focuses, the full test
+# the bounds-check gate on the kernel inner loops, the colored-schedule and sharded-execution race focuses, the full test
 # suite under the race
 # detector (the execution engine's spin barrier and phase fusion are exactly
 # the kind of code -race exists for), the telemetry smoke, the fuzz smoke
 # (differential checking plus a short run of each fuzz target), the SpMM
 # traffic-model smoke, and the serving-path smoke.
-ci: vet build race-colored race-shard race telemetry-smoke fuzz-smoke bench-smoke serve-smoke attrib-smoke bench-diff
+ci: vet build bce race-colored race-shard race telemetry-smoke fuzz-smoke bench-smoke serve-smoke attrib-smoke bench-diff
 
 # tune-demo runs the empirical autotuner on a small slice of the paper suite
 # and prints one decision table per matrix: every candidate plan with its

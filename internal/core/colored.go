@@ -65,14 +65,17 @@ func (k *Kernel) diagInitT(tid int, x, y []float64) {
 // elements.
 func (k *Kernel) colorBlocksT(blocks []int32, x, y []float64) {
 	s := k.S
-	part := k.sched.Part
+	rowPtr, colIdx, val := s.RowPtr, s.ColIdx, s.Val
+	bStart, bEnd := k.sched.Part.Start, k.sched.Part.End
 	for _, b := range blocks {
-		for r := part.Start[b]; r < part.End[b]; r++ {
+		for r := bStart[b]; r < bEnd[b]; r++ {
+			cols := colIdx[rowPtr[r]:rowPtr[r+1]]
+			vals := val[rowPtr[r]:rowPtr[r+1]]
+			vals = vals[:len(cols)]
 			xr := x[r]
 			acc := 0.0
-			for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-				c := s.ColIdx[j]
-				v := s.Val[j]
+			for j, c := range cols { // bce:inner
+				v := vals[j]
 				acc += v * x[c]
 				y[c] += v * xr
 			}

@@ -166,8 +166,9 @@ type KernelOptions struct {
 func NewKernel(s *SSS, method ReductionMethod, pool *parallel.Pool) *Kernel {
 	k, err := NewKernelOpts(s, method, pool, KernelOptions{})
 	if err != nil {
-		// Reachable only for Atomic over a non-Sym matrix; callers choosing
-		// that pairing deliberately should use NewKernelOpts.
+		// Reachable only for Atomic over a non-Sym matrix or for an SSS whose
+		// rows break the layout FromCOO produces; callers that may hand over
+		// either should use NewKernelOpts.
 		panic(err)
 	}
 	return k
@@ -196,6 +197,9 @@ func NewKernelOpts(s *SSS, method ReductionMethod, pool *parallel.Pool, opts Ker
 			return nil, fmt.Errorf("core: hub plan encodes %d elements, matrix has %d",
 				len(opts.Hub.Enc), len(s.ColIdx))
 		}
+	}
+	if err := s.checkRows(); err != nil {
+		return nil, err
 	}
 	p := pool.Size()
 	d := pool.Domains()
@@ -345,51 +349,17 @@ func globalPhases(fns []func(tid int)) []parallel.Phase {
 // k.curX/k.curY, the operand slots MulVec sets per call. The list is built
 // once and reused for every operation, which is what keeps the hot path
 // allocation-free. With dot non-nil the chain additionally leaves xᵀy
-// partial sums in dot[tid*DotStride].
+// partial sums in dot[tid*DotStride]. Effective ranges and indexed at p = 1
+// have nothing to fold (LocalVectors.Folds), so their chain is the multiply
+// alone, plus the dot sweep for MulVecDot.
 func (k *Kernel) assembleFlat(dot []float64) []func(tid int) {
 	switch k.Method {
-	case Naive:
-		mult := func(tid int) { k.multiplyNaiveT(tid, k.curX) }
-		switch {
-		case k.S.Kind != Sym:
-			mult = func(tid int) { k.multiplyNaiveKindT(tid, k.curX) }
-		case k.hubPlan != nil:
-			mult = func(tid int) { k.prefillHotT(tid, k.curX); k.multiplyNaiveHubT(tid, k.curX) }
-		}
+	case Naive, EffectiveRanges, Indexed:
+		phases := []func(int){k.multiplyPhase()}
 		if dot != nil {
-			return []func(int){mult,
-				func(tid int) { dot[tid*DotStride] = k.LV.reduceNaiveDotT(tid, k.curX, k.curY) }}
+			return append(phases, k.LV.ReduceDotPhases(&k.curX, &k.curY, dot)...)
 		}
-		return []func(int){mult, func(tid int) { k.LV.reduceNaiveT(tid, k.curY) }}
-	case EffectiveRanges:
-		mult := func(tid int) { k.multiplyEffectiveT(tid, k.curX, k.curY) }
-		switch {
-		case k.S.Kind != Sym:
-			mult = func(tid int) { k.multiplyEffectiveKindT(tid, k.curX, k.curY) }
-		case k.hubPlan != nil:
-			mult = func(tid int) { k.prefillHotT(tid, k.curX); k.multiplyEffectiveHubT(tid, k.curX, k.curY) }
-		}
-		if dot != nil {
-			return []func(int){mult,
-				func(tid int) { dot[tid*DotStride] = k.LV.reduceEffectiveDotT(tid, k.curX, k.curY) }}
-		}
-		return []func(int){mult, func(tid int) { k.LV.reduceEffectiveT(tid, k.curY) }}
-	case Indexed:
-		mult := func(tid int) { k.multiplyEffectiveT(tid, k.curX, k.curY) }
-		switch {
-		case k.S.Kind != Sym:
-			mult = func(tid int) { k.multiplyEffectiveKindT(tid, k.curX, k.curY) }
-		case k.hubPlan != nil:
-			mult = func(tid int) { k.prefillHotT(tid, k.curX); k.multiplyEffectiveHubT(tid, k.curX, k.curY) }
-		}
-		red := func(tid int) { k.LV.reduceIndexedT(tid, k.curY) }
-		if dot != nil {
-			// The indexed reduction touches only conflicted elements, so the
-			// dot needs a separate full sweep of y after the reduction.
-			return []func(int){mult, red,
-				func(tid int) { dot[tid*DotStride] = k.LV.dotChunkT(tid, k.curX, k.curY) }}
-		}
-		return []func(int){mult, red}
+		return append(phases, k.LV.ReducePhases(&k.curY)...)
 	case Atomic:
 		mult := func(tid int) { k.multiplyAtomicT(tid, k.curX) }
 		if dot != nil {
@@ -404,18 +374,45 @@ func (k *Kernel) assembleFlat(dot []float64) []func(tid int) {
 	}
 }
 
+// multiplyPhase returns the flat multiply phase of a local-vector method,
+// picked by symmetry class and hub plan.
+func (k *Kernel) multiplyPhase() func(tid int) {
+	if k.Method == Naive {
+		switch {
+		case k.S.Kind != Sym:
+			return func(tid int) { k.multiplyNaiveKindT(tid, k.curX) }
+		case k.hubPlan != nil:
+			return func(tid int) { k.prefillHotT(tid, k.curX); k.multiplyNaiveHubT(tid, k.curX) }
+		}
+		return func(tid int) { k.multiplyNaiveT(tid, k.curX) }
+	}
+	switch {
+	case k.S.Kind != Sym:
+		return func(tid int) { k.multiplyEffectiveKindT(tid, k.curX, k.curY) }
+	case k.hubPlan != nil:
+		return func(tid int) { k.prefillHotT(tid, k.curX); k.multiplyEffectiveHubT(tid, k.curX, k.curY) }
+	}
+	return func(tid int) { k.multiplyEffectiveT(tid, k.curX, k.curY) }
+}
+
 // multiplyNaiveT runs thread tid's slice of Alg. 3's multiplication phase:
 // every write, including the thread's own rows, goes to the thread's
-// full-length local vector.
+// full-length local vector. The body follows the layout rules of DESIGN.md
+// §7.1: hoisted slice headers and a per-row reslice of ColIdx/Val, so the
+// inner loop carries no index checks on the matrix arrays.
 func (k *Kernel) multiplyNaiveT(tid int, x []float64) {
 	s := k.S
+	rowPtr, colIdx, val, dv := s.RowPtr, s.ColIdx, s.Val, s.DValues
 	local := k.LV.Vecs[tid]
-	for r := k.Part.Start[tid]; r < k.Part.End[tid]; r++ {
+	lo, hi := k.Part.Start[tid], k.Part.End[tid]
+	for r := lo; r < hi; r++ {
+		cols := colIdx[rowPtr[r]:rowPtr[r+1]]
+		vals := val[rowPtr[r]:rowPtr[r+1]]
+		vals = vals[:len(cols)]
 		xr := x[r]
-		acc := s.DValues[r] * xr
-		for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-			c := s.ColIdx[j]
-			v := s.Val[j]
+		acc := dv[r] * xr
+		for j, c := range cols { // bce:inner
+			v := vals[j]
 			acc += v * x[c]
 			local[c] += v * xr
 		}
@@ -428,22 +425,40 @@ func (k *Kernel) multiplyNaiveT(tid int, x []float64) {
 // thread's own partition write directly to y, and only transposed
 // contributions that fall before the partition start are buffered in the
 // local vector.
+//
+// Columns within a row ascend (NewKernelOpts checks it), so the columns
+// below startT form a prefix of the row: the row runs as a local-vector loop
+// that stops at the first column ≥ startT, then a branch-free y loop over
+// the rest. Every element still adds into the same target in the same
+// order as a single loop testing c ≥ startT per element would.
 func (k *Kernel) multiplyEffectiveT(tid int, x, y []float64) {
 	s := k.S
+	rowPtr, colIdx, val, dv := s.RowPtr, s.ColIdx, s.Val, s.DValues
 	local := k.LV.Vecs[tid]
-	startT := k.Part.Start[tid]
-	for r := k.Part.Start[tid]; r < k.Part.End[tid]; r++ {
+	lo, hi := k.Part.Start[tid], k.Part.End[tid]
+	startT := lo
+	for r := lo; r < hi; r++ {
+		cols := colIdx[rowPtr[r]:rowPtr[r+1]]
+		vals := val[rowPtr[r]:rowPtr[r+1]]
+		vals = vals[:len(cols)]
 		xr := x[r]
-		acc := s.DValues[r] * xr
-		for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-			c := s.ColIdx[j]
-			v := s.Val[j]
-			acc += v * x[c]
+		acc := dv[r] * xr
+		split := len(cols)
+		for j, c := range cols { // bce:inner
 			if c >= startT {
-				y[c] += v * xr
-			} else {
-				local[c] += v * xr
+				split = j
+				break
 			}
+			v := vals[j]
+			acc += v * x[c]
+			local[c] += v * xr
+		}
+		cols, vals = cols[split:], vals[split:]
+		vals = vals[:len(cols)]
+		for j, c := range cols { // bce:inner
+			v := vals[j]
+			acc += v * x[c]
+			y[c] += v * xr
 		}
 		// Rows are processed in ascending order and transposed writes
 		// target strictly earlier rows (c < r), so y[r] has received no

@@ -14,7 +14,7 @@ package core
 // Skew therefore streams exactly the same bytes as the symmetric kernel —
 // the sign flip is free — while Structural pays one extra 8-byte read per
 // stored element, which Traffic() and the perfmodel account for. The Sym
-// bodies in kernel.go/colored.go stay untouched: the paper's measured kernel
+// bodies in kernel.go/colored.go stay separate: the paper's measured kernel
 // is not burdened with a dispatch it never needs.
 
 // kindUval resolves the transpose value array and sign for a non-Sym matrix.
@@ -30,18 +30,23 @@ func (s *SSS) kindUval() (uval []float64, sign float64) {
 func (k *Kernel) multiplyNaiveKindT(tid int, x []float64) {
 	s := k.S
 	uval, sign := s.kindUval()
-	dv := s.DValues
+	rowPtr, colIdx, val, dv := s.RowPtr, s.ColIdx, s.Val, s.DValues
 	local := k.LV.Vecs[tid]
-	for r := k.Part.Start[tid]; r < k.Part.End[tid]; r++ {
+	lo, hi := k.Part.Start[tid], k.Part.End[tid]
+	for r := lo; r < hi; r++ {
+		cols := colIdx[rowPtr[r]:rowPtr[r+1]]
+		vals := val[rowPtr[r]:rowPtr[r+1]]
+		vals = vals[:len(cols)]
+		uvals := uval[rowPtr[r]:rowPtr[r+1]]
+		uvals = uvals[:len(cols)]
 		xr := x[r]
 		acc := 0.0
 		if dv != nil {
 			acc = dv[r] * xr
 		}
-		for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-			c := s.ColIdx[j]
-			acc += s.Val[j] * x[c]
-			local[c] += sign * uval[j] * xr
+		for j, c := range cols { // bce:inner
+			acc += vals[j] * x[c]
+			local[c] += sign * uvals[j] * xr
 		}
 		local[r] += acc
 	}
@@ -49,27 +54,40 @@ func (k *Kernel) multiplyNaiveKindT(tid int, x []float64) {
 
 // multiplyEffectiveKindT is multiplyEffectiveT generalized over the symmetry
 // class: rows inside the thread's partition write y directly, transposed
-// contributions before the partition start go to the local vector.
+// contributions before the partition start go to the local vector. Each row
+// splits at startT exactly like multiplyEffectiveT.
 func (k *Kernel) multiplyEffectiveKindT(tid int, x, y []float64) {
 	s := k.S
 	uval, sign := s.kindUval()
-	dv := s.DValues
+	rowPtr, colIdx, val, dv := s.RowPtr, s.ColIdx, s.Val, s.DValues
 	local := k.LV.Vecs[tid]
-	startT := k.Part.Start[tid]
-	for r := k.Part.Start[tid]; r < k.Part.End[tid]; r++ {
+	lo, hi := k.Part.Start[tid], k.Part.End[tid]
+	startT := lo
+	for r := lo; r < hi; r++ {
+		cols := colIdx[rowPtr[r]:rowPtr[r+1]]
+		vals := val[rowPtr[r]:rowPtr[r+1]]
+		vals = vals[:len(cols)]
+		uvals := uval[rowPtr[r]:rowPtr[r+1]]
+		uvals = uvals[:len(cols)]
 		xr := x[r]
 		acc := 0.0
 		if dv != nil {
 			acc = dv[r] * xr
 		}
-		for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-			c := s.ColIdx[j]
-			acc += s.Val[j] * x[c]
+		split := len(cols)
+		for j, c := range cols { // bce:inner
 			if c >= startT {
-				y[c] += sign * uval[j] * xr
-			} else {
-				local[c] += sign * uval[j] * xr
+				split = j
+				break
 			}
+			acc += vals[j] * x[c]
+			local[c] += sign * uvals[j] * xr
+		}
+		cols, vals, uvals = cols[split:], vals[split:], uvals[split:]
+		vals, uvals = vals[:len(cols)], uvals[:len(cols)]
+		for j, c := range cols { // bce:inner
+			acc += vals[j] * x[c]
+			y[c] += sign * uvals[j] * xr
 		}
 		// Same ordering argument as multiplyEffectiveT: transposed writes
 		// target strictly earlier rows, so y[r] is still untouched here.
@@ -83,15 +101,20 @@ func (k *Kernel) multiplyEffectiveKindT(tid int, x, y []float64) {
 func (k *Kernel) colorBlocksKindT(blocks []int32, x, y []float64) {
 	s := k.S
 	uval, sign := s.kindUval()
-	part := k.sched.Part
+	rowPtr, colIdx, val := s.RowPtr, s.ColIdx, s.Val
+	bStart, bEnd := k.sched.Part.Start, k.sched.Part.End
 	for _, b := range blocks {
-		for r := part.Start[b]; r < part.End[b]; r++ {
+		for r := bStart[b]; r < bEnd[b]; r++ {
+			cols := colIdx[rowPtr[r]:rowPtr[r+1]]
+			vals := val[rowPtr[r]:rowPtr[r+1]]
+			vals = vals[:len(cols)]
+			uvals := uval[rowPtr[r]:rowPtr[r+1]]
+			uvals = uvals[:len(cols)]
 			xr := x[r]
 			acc := 0.0
-			for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-				c := s.ColIdx[j]
-				acc += s.Val[j] * x[c]
-				y[c] += sign * uval[j] * xr
+			for j, c := range cols { // bce:inner
+				acc += vals[j] * x[c]
+				y[c] += sign * uvals[j] * xr
 			}
 			y[r] += acc
 		}

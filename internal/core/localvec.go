@@ -116,18 +116,31 @@ func groupByVid(index []IndexEntry, split []int32) []IndexEntry {
 // elements. For Naive, y is fully overwritten; for the other methods the
 // direct contributions already present in y are kept and augmented.
 func (lv *LocalVectors) Reduce(pool *parallel.Pool, y []float64) {
-	pool.RunPhases(lv.ReducePhases(y)...)
+	pool.RunPhases(lv.ReducePhases(&y)...)
 }
 
-// ReducePhases returns the reduction as a phase list for Pool.RunPhases.
-func (lv *LocalVectors) ReducePhases(y []float64) []func(tid int) {
+// Folds reports whether the reduction has anything to combine. Naive always
+// does — its locals hold every write. The other methods need it only at
+// p > 1: the single thread of a p = 1 partition starts at row 0, so its
+// effective region is empty and every write already went to y.
+func (lv *LocalVectors) Folds() bool { return lv.Method == Naive || lv.p > 1 }
+
+// ReducePhases returns the reduction as a phase list for Pool.RunPhases;
+// the list is empty when the reduction has nothing to fold (see Folds). The
+// phases read the output through the slot y when they run, so a kernel can
+// build the list once over its operand field and reuse it for every
+// operation without allocating.
+func (lv *LocalVectors) ReducePhases(y *[]float64) []func(tid int) {
+	if !lv.Folds() {
+		return nil
+	}
 	switch lv.Method {
 	case Naive:
-		return []func(int){func(tid int) { lv.reduceNaiveT(tid, y) }}
+		return []func(int){func(tid int) { lv.reduceNaiveT(tid, *y) }}
 	case EffectiveRanges:
-		return []func(int){func(tid int) { lv.reduceEffectiveT(tid, y) }}
+		return []func(int){func(tid int) { lv.reduceEffectiveT(tid, *y) }}
 	case Indexed:
-		return []func(int){func(tid int) { lv.reduceIndexedT(tid, y) }}
+		return []func(int){func(tid int) { lv.reduceIndexedT(tid, *y) }}
 	}
 	return nil
 }
@@ -137,19 +150,22 @@ func (lv *LocalVectors) ReducePhases(y []float64) []func(tid int) {
 // contribution over its reduction range. The caller combines the partials in
 // ascending tid order; the per-thread ranges equal parallel.Chunk(N, p), so
 // the combined sum is bitwise identical to vec.Dot over the finished y.
-func (lv *LocalVectors) ReduceDotPhases(x, y, partial []float64) []func(tid int) {
+// Operands are read through the slots x and y, as in ReducePhases. Without
+// anything to fold the list is the dot sweep alone.
+func (lv *LocalVectors) ReduceDotPhases(x, y *[]float64, partial []float64) []func(tid int) {
+	dot := func(tid int) { partial[tid*DotStride] = lv.dotChunkT(tid, *x, *y) }
+	if !lv.Folds() {
+		return []func(int){dot}
+	}
 	switch lv.Method {
 	case Naive:
-		return []func(int){func(tid int) { partial[tid*DotStride] = lv.reduceNaiveDotT(tid, x, y) }}
+		return []func(int){func(tid int) { partial[tid*DotStride] = lv.reduceNaiveDotT(tid, *x, *y) }}
 	case EffectiveRanges:
-		return []func(int){func(tid int) { partial[tid*DotStride] = lv.reduceEffectiveDotT(tid, x, y) }}
+		return []func(int){func(tid int) { partial[tid*DotStride] = lv.reduceEffectiveDotT(tid, *x, *y) }}
 	case Indexed:
 		// The indexed reduction touches only conflicted elements, so the dot
 		// needs a separate full sweep of y once the reduction has finished.
-		return []func(int){
-			func(tid int) { lv.reduceIndexedT(tid, y) },
-			func(tid int) { partial[tid*DotStride] = lv.dotChunkT(tid, x, y) },
-		}
+		return []func(int){func(tid int) { lv.reduceIndexedT(tid, *y) }, dot}
 	}
 	return nil
 }

@@ -80,9 +80,11 @@ func (t PhaseTimes) PerOp() PhaseTimes {
 // (Indexed MulVecDot) is compute work. The colored method runs the diagonal
 // init plus one phase per color (plus the optional dot), all compute — zero
 // reduction work by construction, which the timed path makes directly
-// observable. A hierarchical list runs [prefill→]multiply (compute), then
-// intra-domain combine and cross-domain fold (both reduction), with the
-// Indexed fused-dot variant's trailing sweep again compute.
+// observable. Effective ranges and indexed at p = 1 run no reduction, so
+// their lists are multiply (plus the dot sweep) only. A hierarchical list
+// runs [prefill→]multiply (compute), then intra-domain combine and
+// cross-domain fold (both reduction), with the Indexed fused-dot variant's
+// trailing sweep again compute.
 func (k *Kernel) phaseKinds(n int) []PhaseKind {
 	kinds := make([]PhaseKind, n)
 	if k.Method == Colored {
@@ -101,7 +103,7 @@ func (k *Kernel) phaseKinds(n int) []PhaseKind {
 		}
 		return kinds
 	}
-	if n > 1 {
+	if n > 1 && (k.LV == nil || k.LV.Folds()) {
 		kinds[1] = PhaseReduction
 	}
 	return kinds

@@ -204,6 +204,44 @@ func (s *SSS) findSlot(r, c int32) (int32, bool) {
 	return 0, false
 }
 
+// checkRows verifies, in one pass over ColIdx, the layout the kernel bodies
+// rely on: a well-formed row pointer over equally long ColIdx/Val (and
+// UVal/DValues where the kind stores them), and every row's columns strictly
+// ascending and strictly below the diagonal. FromCOO and FromCOOStructural
+// always produce this layout; an SSS assembled by hand may not, and a body
+// that splits its rows at the partition start would then compute a wrong y
+// instead of failing.
+func (s *SSS) checkRows() error {
+	n := s.N
+	if len(s.RowPtr) != n+1 || s.RowPtr[0] != 0 {
+		return fmt.Errorf("core: SSS row pointer has length %d (want %d) or a nonzero start", len(s.RowPtr), n+1)
+	}
+	nnz := len(s.ColIdx)
+	if int(s.RowPtr[n]) != nnz || len(s.Val) != nnz {
+		return fmt.Errorf("core: SSS row pointer ends at %d, ColIdx has %d, Val has %d", s.RowPtr[n], nnz, len(s.Val))
+	}
+	if s.Kind == Structural && len(s.UVal) != nnz {
+		return fmt.Errorf("core: structural SSS has %d upper values for %d lower slots", len(s.UVal), nnz)
+	}
+	if s.Kind != Skew && len(s.DValues) != n {
+		return fmt.Errorf("core: SSS has %d diagonal values, want %d", len(s.DValues), n)
+	}
+	for r := 0; r < n; r++ {
+		lo, hi := s.RowPtr[r], s.RowPtr[r+1]
+		if lo > hi || int(hi) > nnz {
+			return fmt.Errorf("core: SSS row pointer decreases or overruns ColIdx at row %d", r)
+		}
+		prev := int32(-1)
+		for _, c := range s.ColIdx[lo:hi] {
+			if c <= prev || c >= int32(r) {
+				return fmt.Errorf("core: SSS row %d: columns must ascend strictly within [0, %d), got %d after %d", r, r, c, prev)
+			}
+			prev = c
+		}
+	}
+	return nil
+}
+
 // NNZLower reports the stored strict-lower-triangle nonzeros.
 func (s *SSS) NNZLower() int { return len(s.Val) }
 
@@ -235,41 +273,52 @@ func (s *SSS) MulVec(x, y []float64) {
 			y[r] = 0
 		}
 	} else {
+		dv := s.DValues
 		for r := range y {
-			y[r] = s.DValues[r] * x[r]
+			y[r] = dv[r] * x[r]
 		}
 	}
+	rowPtr, colIdx, val := s.RowPtr, s.ColIdx, s.Val
 	switch s.Kind {
 	case Skew:
-		for r := 0; r < s.N; r++ {
+		for r := range y {
+			cols := colIdx[rowPtr[r]:rowPtr[r+1]]
+			vals := val[rowPtr[r]:rowPtr[r+1]]
+			vals = vals[:len(cols)]
 			xr := x[r]
 			acc := 0.0
-			for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-				c := s.ColIdx[j]
-				v := s.Val[j]
+			for j, c := range cols { // bce:inner
+				v := vals[j]
 				acc += v * x[c]
 				y[c] -= v * xr
 			}
 			y[r] += acc
 		}
 	case Structural:
-		for r := 0; r < s.N; r++ {
+		uval := s.UVal
+		for r := range y {
+			cols := colIdx[rowPtr[r]:rowPtr[r+1]]
+			vals := val[rowPtr[r]:rowPtr[r+1]]
+			vals = vals[:len(cols)]
+			uvals := uval[rowPtr[r]:rowPtr[r+1]]
+			uvals = uvals[:len(cols)]
 			xr := x[r]
 			acc := 0.0
-			for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-				c := s.ColIdx[j]
-				acc += s.Val[j] * x[c]
-				y[c] += s.UVal[j] * xr
+			for j, c := range cols { // bce:inner
+				acc += vals[j] * x[c]
+				y[c] += uvals[j] * xr
 			}
 			y[r] += acc
 		}
 	default:
-		for r := 0; r < s.N; r++ {
+		for r := range y {
+			cols := colIdx[rowPtr[r]:rowPtr[r+1]]
+			vals := val[rowPtr[r]:rowPtr[r+1]]
+			vals = vals[:len(cols)]
 			xr := x[r]
 			acc := 0.0
-			for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
-				c := s.ColIdx[j]
-				v := s.Val[j]
+			for j, c := range cols { // bce:inner
+				v := vals[j]
 				acc += v * x[c]
 				y[c] += v * xr
 			}

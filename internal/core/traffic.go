@@ -124,6 +124,10 @@ func (k *Kernel) Traffic() Traffic {
 		t.WorkingSetOverhead = 0
 		t.ExtraBarriers = int64(k.sched.NumColors)
 	}
+	if k.LV != nil && !k.LV.Folds() {
+		// p = 1 effective ranges / indexed: the chain has no reduction phase.
+		t.RedBytes, t.RedFlops = 0, 0
+	}
 	t.RedCrossBytes = k.redCrossBytes()
 	if k.hier != nil {
 		// The hierarchical chain splits the reduction into intra + cross

@@ -36,6 +36,13 @@ type SymMatrix struct {
 	// dot holds the per-thread partial sums of MulVecDot, one cache line
 	// apart, allocated on first use.
 	dot []float64
+
+	// curX/curY are the operands of the operation in flight. The phase
+	// lists read them and are built on first use, so repeated operations
+	// reuse the same closures and allocate nothing (as core.Kernel does).
+	curX, curY  []float64
+	phasesPlain []func(tid int)
+	phasesDot   []func(tid int)
 }
 
 // NewSym encodes an SSS matrix into CSX-Sym with p per-thread blobs and the
@@ -112,9 +119,12 @@ func MaxSymCompressionRatio(nnzLower, n int) float64 {
 // the pair costs one coordinator handoff.
 func (sm *SymMatrix) MulVec(pool *parallel.Pool, x, y []float64) {
 	sm.checkDims(pool, x, y)
-	phases := append([]func(int){func(tid int) { sm.multiplyT(tid, x, y) }},
-		sm.LV.ReducePhases(y)...)
-	pool.RunPhases(phases...)
+	if sm.phasesPlain == nil {
+		sm.phasesPlain = append([]func(int){sm.multiplyPhase}, sm.LV.ReducePhases(&sm.curY)...)
+	}
+	sm.curX, sm.curY = x, y
+	pool.RunPhases(sm.phasesPlain...)
+	sm.curX, sm.curY = nil, nil
 }
 
 // MulVecDot computes y = A·x and returns xᵀ·y, with the dot fused into the
@@ -123,18 +133,23 @@ func (sm *SymMatrix) MulVec(pool *parallel.Pool, x, y []float64) {
 func (sm *SymMatrix) MulVecDot(pool *parallel.Pool, x, y []float64) float64 {
 	sm.checkDims(pool, x, y)
 	p := pool.Size()
-	if sm.dot == nil {
+	if sm.phasesDot == nil {
 		sm.dot = make([]float64, p*core.DotStride)
+		sm.phasesDot = append([]func(int){sm.multiplyPhase},
+			sm.LV.ReduceDotPhases(&sm.curX, &sm.curY, sm.dot)...)
 	}
-	phases := append([]func(int){func(tid int) { sm.multiplyT(tid, x, y) }},
-		sm.LV.ReduceDotPhases(x, y, sm.dot)...)
-	pool.RunPhases(phases...)
+	sm.curX, sm.curY = x, y
+	pool.RunPhases(sm.phasesDot...)
+	sm.curX, sm.curY = nil, nil
 	total := 0.0
 	for t := 0; t < p; t++ {
 		total += sm.dot[t*core.DotStride]
 	}
 	return total
 }
+
+// multiplyPhase is the multiplication phase over the operand slots.
+func (sm *SymMatrix) multiplyPhase(tid int) { sm.multiplyT(tid, sm.curX, sm.curY) }
 
 func (sm *SymMatrix) checkDims(pool *parallel.Pool, x, y []float64) {
 	if pool.Size() != len(sm.Blobs) {

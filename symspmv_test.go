@@ -427,3 +427,38 @@ func TestMulMatFacade(t *testing.T) {
 		t.Fatal("MulMat accepted bad dims")
 	}
 }
+
+// TestFacadeMulVecZeroAlloc extends the core kernels' disabled-sampling
+// contract (internal/core TestMulVecZeroAlloc) to the facade: MulVec, and
+// the fused MulVecDot where a format has one, allocate nothing per call for
+// the SSS kernels, CSR and CSX-Sym, at p = 1 and p = 2.
+func TestFacadeMulVecZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(92))
+	A := buildRandomSPD(t, rng, 800, 4)
+	n := A.N()
+	x := make([]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	for _, f := range []Format{CSR, SSSNaive, SSSEffective, SSSIndexed, SSSAtomic, SSSColored, CSXSym} {
+		for _, threads := range []int{1, 2} {
+			k, err := A.Kernel(f, Threads(threads))
+			if err != nil {
+				t.Fatalf("%v: %v", f, err)
+			}
+			bk := k.(*boundKernel)
+			k.MulVec(x, y) // warm up: lazily built phase lists
+			if a := testing.AllocsPerRun(20, func() { k.MulVec(x, y) }); a != 0 {
+				t.Errorf("%v p=%d: MulVec allocates %v allocs/op, want 0", f, threads, a)
+			}
+			if bk.mulDot != nil {
+				bk.mulDot(x, y)
+				if a := testing.AllocsPerRun(20, func() { bk.mulDot(x, y) }); a != 0 {
+					t.Errorf("%v p=%d: MulVecDot allocates %v allocs/op, want 0", f, threads, a)
+				}
+			}
+			k.Close()
+		}
+	}
+}
